@@ -6,10 +6,21 @@
 //! set" (§3). Metadata lookups normally go through a small cache, the SMB;
 //! when the entry is not cached, "there is a single additional memory access
 //! for one set operation" (§8.4).
+//!
+//! # Storage
+//!
+//! Logical set IDs are dense slot indices (the runtime's LIFO allocator
+//! reuses freed IDs first), so both structures are flat vectors indexed by
+//! raw set ID rather than hash maps: the SM table holds an
+//! `Option<SetMetadata>` per ID plus a live count, and the SMB threads its
+//! resident IDs through per-ID links into a least-to-most recently used
+//! list, so a hit, a miss and an eviction each cost O(1) and the victim is
+//! always the least recently used entry. Each vector's length is one past
+//! the largest set ID registered or looked up, which the runtime bounds by
+//! its peak number of live sets.
 
 use crate::SetId;
 use sisa_sets::RepresentationKind;
-use std::collections::HashMap;
 
 /// One SM entry: everything the SCU needs to know about a set to pick an
 /// instruction variant.
@@ -26,10 +37,13 @@ pub struct SetMetadata {
     pub address: u64,
 }
 
-/// The in-memory SM structure: a map from set IDs to metadata entries.
+/// The in-memory SM structure: metadata entries indexed by set ID.
 #[derive(Clone, Debug, Default)]
 pub struct SetMetadataTable {
-    entries: HashMap<SetId, SetMetadata>,
+    /// Entry per raw set ID (`None` for unregistered IDs).
+    entries: Vec<Option<SetMetadata>>,
+    /// Number of `Some` entries.
+    live: usize,
     next_address: u64,
 }
 
@@ -38,7 +52,8 @@ impl SetMetadataTable {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            entries: HashMap::new(),
+            entries: Vec::new(),
+            live: 0,
             next_address: 0x4000_0000,
         }
     }
@@ -57,21 +72,25 @@ impl SetMetadataTable {
         };
         let address = self.next_address;
         self.next_address += (bits as u64 / 8).max(64) + 64;
-        self.entries.insert(
-            id,
-            SetMetadata {
-                kind,
-                cardinality,
-                universe,
-                address,
-            },
-        );
+        let raw = id.raw() as usize;
+        if raw >= self.entries.len() {
+            self.entries.resize(raw + 1, None);
+        }
+        let previous = self.entries[raw].replace(SetMetadata {
+            kind,
+            cardinality,
+            universe,
+            address,
+        });
+        if previous.is_none() {
+            self.live += 1;
+        }
     }
 
     /// Looks an entry up.
     #[must_use]
     pub fn get(&self, id: SetId) -> Option<&SetMetadata> {
-        self.entries.get(&id)
+        self.entries.get(id.raw() as usize)?.as_ref()
     }
 
     /// Updates the representation and cardinality of an existing entry.
@@ -82,7 +101,8 @@ impl SetMetadataTable {
     pub fn update(&mut self, id: SetId, kind: RepresentationKind, cardinality: usize) {
         let entry = self
             .entries
-            .get_mut(&id)
+            .get_mut(id.raw() as usize)
+            .and_then(Option::as_mut)
             .unwrap_or_else(|| panic!("set {id} has no metadata entry"));
         entry.kind = kind;
         entry.cardinality = cardinality;
@@ -90,19 +110,53 @@ impl SetMetadataTable {
 
     /// Removes an entry (set deletion).
     pub fn remove(&mut self, id: SetId) {
-        self.entries.remove(&id);
+        if let Some(slot) = self.entries.get_mut(id.raw() as usize) {
+            if slot.take().is_some() {
+                self.live -= 1;
+            }
+        }
     }
 
     /// Number of live entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.live
     }
 
     /// Whether the table is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.live == 0
+    }
+
+    /// Length of the ID-indexed storage: one past the largest set ID ever
+    /// registered (the boundedness tests check it).
+    #[cfg(test)]
+    pub(crate) fn footprint(&self) -> usize {
+        self.entries.len()
+    }
+}
+
+/// End marker of the SMB recency list.
+const NIL: u32 = u32::MAX;
+
+/// One set ID's place in the SMB recency list.
+#[derive(Clone, Copy, Debug)]
+struct Recency {
+    /// Next less recently used resident ID, or [`NIL`].
+    older: u32,
+    /// Next more recently used resident ID, or [`NIL`].
+    newer: u32,
+    resident: bool,
+}
+
+impl Default for Recency {
+    fn default() -> Self {
+        Self {
+            older: NIL,
+            newer: NIL,
+            resident: false,
+        }
     }
 }
 
@@ -110,14 +164,20 @@ impl SetMetadataTable {
 ///
 /// Only presence is modelled (the actual metadata lives in
 /// [`SetMetadataTable`]); the SCU charges the hit latency or the SM-miss
-/// memory access depending on the outcome reported here.
+/// memory access depending on the outcome reported here, and the runtime
+/// counts the outcomes in [`crate::ExecStats`].
 #[derive(Clone, Debug)]
 pub struct SmbCache {
     capacity: usize,
-    stamps: HashMap<SetId, u64>,
-    clock: u64,
-    hits: u64,
-    misses: u64,
+    /// Recency links per raw set ID, threading the resident IDs from least
+    /// to most recently used, so a touch and an eviction are O(1).
+    links: Vec<Recency>,
+    /// Least recently used resident ID (the next victim), or [`NIL`].
+    oldest: u32,
+    /// Most recently used resident ID, or [`NIL`].
+    newest: u32,
+    /// Number of resident IDs.
+    resident: usize,
 }
 
 impl SmbCache {
@@ -126,71 +186,103 @@ impl SmbCache {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
-            stamps: HashMap::new(),
-            clock: 0,
-            hits: 0,
-            misses: 0,
+            links: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
+            resident: 0,
         }
+    }
+
+    /// Removes resident `raw` from the recency list.
+    fn unlink(&mut self, raw: u32) {
+        let Recency { older, newer, .. } = self.links[raw as usize];
+        match older {
+            NIL => self.oldest = newer,
+            o => self.links[o as usize].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.links[n as usize].older = older,
+        }
+    }
+
+    /// Appends `raw` to the recency list as the most recently used ID.
+    fn push_newest(&mut self, raw: u32) {
+        self.links[raw as usize] = Recency {
+            older: self.newest,
+            newer: NIL,
+            resident: true,
+        };
+        match self.newest {
+            NIL => self.oldest = raw,
+            n => self.links[n as usize].newer = raw,
+        }
+        self.newest = raw;
+    }
+
+    /// Marks `id` as just used, making room for it first if it is not
+    /// resident and the buffer is full. Returns whether it was resident.
+    fn touch(&mut self, id: SetId) -> bool {
+        let raw = id.raw();
+        if raw as usize >= self.links.len() {
+            self.links.resize(raw as usize + 1, Recency::default());
+        }
+        let was_resident = self.links[raw as usize].resident;
+        if was_resident {
+            self.unlink(raw);
+        } else {
+            if self.resident >= self.capacity {
+                let victim = self.oldest;
+                self.unlink(victim);
+                self.links[victim as usize] = Recency::default();
+                self.resident -= 1;
+            }
+            self.resident += 1;
+        }
+        self.push_newest(raw);
+        was_resident
     }
 
     /// Performs a lookup for `id`; returns `true` on hit. Misses install the
     /// entry, evicting the least recently used one if the buffer is full.
     pub fn lookup(&mut self, id: SetId) -> bool {
-        self.clock += 1;
-        if let Some(stamp) = self.stamps.get_mut(&id) {
-            *stamp = self.clock;
-            self.hits += 1;
-            return true;
-        }
-        self.misses += 1;
-        if self.stamps.len() >= self.capacity {
-            if let Some((&victim, _)) = self.stamps.iter().min_by_key(|(_, &s)| s) {
-                self.stamps.remove(&victim);
-            }
-        }
-        self.stamps.insert(id, self.clock);
-        false
+        self.touch(id)
     }
 
     /// Installs `id` without counting a hit or a miss — used when the SCU has
     /// just written the entry itself (set creation), so the metadata is
     /// necessarily resident.
     pub fn prime(&mut self, id: SetId) {
-        self.clock += 1;
-        if self.stamps.len() >= self.capacity && !self.stamps.contains_key(&id) {
-            if let Some((&victim, _)) = self.stamps.iter().min_by_key(|(_, &s)| s) {
-                self.stamps.remove(&victim);
-            }
-        }
-        self.stamps.insert(id, self.clock);
+        self.touch(id);
     }
 
     /// Drops a set from the buffer (set deletion).
     pub fn invalidate(&mut self, id: SetId) {
-        self.stamps.remove(&id);
-    }
-
-    /// Hits recorded so far.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses recorded so far.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Hit ratio (0 with no lookups).
-    #[must_use]
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
+        let raw = id.raw();
+        if self.links.get(raw as usize).is_some_and(|l| l.resident) {
+            self.unlink(raw);
+            self.links[raw as usize] = Recency::default();
+            self.resident -= 1;
         }
+    }
+
+    /// Number of resident entries.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.resident
+    }
+
+    /// Whether no entry is resident.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.resident == 0
+    }
+
+    /// Length of the ID-indexed recency table: one past the largest set ID
+    /// looked up or primed (the boundedness tests check it).
+    #[cfg(test)]
+    pub(crate) fn footprint(&self) -> usize {
+        self.links.len()
     }
 }
 
@@ -245,9 +337,7 @@ mod tests {
         // Inserting a third entry evicts the LRU (SetId 2).
         assert!(!smb.lookup(SetId(3)));
         assert!(!smb.lookup(SetId(2)));
-        assert_eq!(smb.hits(), 1);
-        assert_eq!(smb.misses(), 4);
-        assert!((smb.hit_ratio() - 0.2).abs() < 1e-12);
+        assert_eq!(smb.len(), 2);
     }
 
     #[test]

@@ -55,11 +55,21 @@
 //! the serial totals cycle-for-cycle: with one slot in flight every item
 //! starts exactly when its predecessor finishes, so the makespan equals the
 //! sum of all charged cycles and no dependence stall is ever exposed.
+//!
+//! # Per-instruction state
+//!
+//! Every table the queue consults per item — both scoreboards, the rename
+//! binding and the shadow last-producer times — is a flat vector indexed by
+//! raw set ID or physical tag, never an ordered or hashed map. Operand IDs
+//! must therefore be dense: slot indices from the runtime's LIFO allocator
+//! (bounded by the peak number of live sets) or tags from the rename pool
+//! (bounded by its capacity plus spills). Each vector grows to one past the
+//! largest ID it has seen and is emptied by [`IssueQueue::reset`].
 
 use crate::rename::RenameMap;
 use crate::scoreboard::Scoreboard;
 use sisa_isa::SetId;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// How often (in issued items) the queue prunes retired scoreboard entries.
 const PRUNE_INTERVAL: u64 = 64;
@@ -146,10 +156,13 @@ struct OooState {
     board: Scoreboard,
     /// The renaming table, when `rename_tags > 0`.
     rename: Option<RenameMap>,
-    /// Shadow decomposition state: per logical ID, the finish time of its
-    /// last producer *in the shadow in-order schedule* — the RAW component a
-    /// renamed machine cannot remove.
-    last_write: BTreeMap<u32, u64>,
+    /// Shadow decomposition state: per raw logical ID, the finish time of
+    /// its last producer *in the shadow in-order schedule* — the RAW
+    /// component a renamed machine cannot remove (0 = never written). It is
+    /// never pruned: a retired entry is at most the prune horizon, which
+    /// bounds every later shadow `base` from below, so it cannot contribute
+    /// to a true-RAW stall.
+    last_write: Vec<u64>,
     /// Completion time of the out-of-order schedule.
     makespan: u64,
     /// Items that started ahead of a program-earlier in-flight instruction.
@@ -172,7 +185,7 @@ impl OooState {
             last_retire: 0,
             board: Scoreboard::new(),
             rename: (rename_tags > 0).then(|| RenameMap::new(rename_tags)),
-            last_write: BTreeMap::new(),
+            last_write: Vec::new(),
             makespan: 0,
             bypasses: 0,
             pressure_cycles: 0,
@@ -344,6 +357,10 @@ impl OooState {
 /// state keeps advancing as the *shadow reference schedule* that prices what
 /// the same program costs without renaming (the stall-decomposition baseline
 /// and [`IssueQueue::shadow_makespan_cycles`]).
+///
+/// Operand IDs must be dense slot indices (or physical tags): the hazard
+/// tables are vectors indexed by raw ID, so their memory follows the largest
+/// ID issued, not the number of IDs in flight.
 #[derive(Clone, Debug)]
 pub struct IssueQueue {
     depth: usize,
@@ -501,6 +518,20 @@ impl IssueQueue {
         self.scoreboard.tracked() + self.ooo.as_ref().map_or(0, |o| o.board.tracked())
     }
 
+    /// Length of the longest ID-indexed table the queue holds — both
+    /// scoreboards, the rename binding and the shadow last-producer times —
+    /// since the last [`IssueQueue::reset`]. With dense operand IDs it is at
+    /// most the peak number of live sets plus, under renaming, the tag
+    /// pool's capacity and spills.
+    #[cfg(test)]
+    pub(crate) fn footprint(&self) -> usize {
+        let ooo = self.ooo.as_ref().map_or(0, |o| {
+            let rename = o.rename.as_ref().map_or(0, RenameMap::footprint);
+            o.board.footprint().max(o.last_write.len()).max(rename)
+        });
+        self.scoreboard.footprint().max(ooo)
+    }
+
     /// Issues one timed work item producing its written sets: `cycles` of
     /// execution on `kind`, reading `reads` and writing `writes`. Returns
     /// where it landed on the timeline.
@@ -543,16 +574,12 @@ impl IssueQueue {
             let renaming = ooo.rename.is_some();
             let (s_true, s_false) = if renaming {
                 let base = shadow.start - shadow.dep_stall;
-                let mut ready_true = 0u64;
-                for &r in reads {
-                    ready_true = ready_true.max(ooo.last_write.get(&r.raw()).copied().unwrap_or(0));
-                }
+                let produced = |id: &SetId| ooo.last_write.get(id.raw() as usize).copied();
+                let mut ready_true = reads.iter().filter_map(produced).max().unwrap_or(0);
                 if intent == WriteIntent::Release {
                     // A renamed delete still consumes the dying version.
-                    for &w in writes {
-                        ready_true =
-                            ready_true.max(ooo.last_write.get(&w.raw()).copied().unwrap_or(0));
-                    }
+                    let consumed = writes.iter().filter_map(produced).max().unwrap_or(0);
+                    ready_true = ready_true.max(consumed);
                 }
                 let s_true = ready_true.saturating_sub(base);
                 debug_assert!(s_true <= shadow.dep_stall);
@@ -561,9 +588,13 @@ impl IssueQueue {
                 (0, 0)
             };
             if renaming {
-                // The last-producer map only feeds the decomposition above.
+                // The last-producer times only feed the decomposition above.
                 for &w in writes {
-                    ooo.last_write.insert(w.raw(), shadow.finish);
+                    let raw = w.raw() as usize;
+                    if raw >= ooo.last_write.len() {
+                        ooo.last_write.resize(raw + 1, 0);
+                    }
+                    ooo.last_write[raw] = shadow.finish;
                 }
             }
             let (start, finish, lane, bypassed, exposed_dep) =
@@ -653,11 +684,10 @@ impl IssueQueue {
         }
     }
 
-    /// Prunes retired hazard state from both scoreboards and the shadow
-    /// last-producer map. Safe because every future vault item starts at or
-    /// after the earliest-free lane (and the oldest in-flight retire once
-    /// the window is full), so entries at or below that horizon can never
-    /// again bind a start time.
+    /// Prunes retired hazard state from both scoreboards. Safe because every
+    /// future vault item starts at or after the earliest-free lane (and the
+    /// oldest in-flight retire once the window is full), so entries at or
+    /// below that horizon can never again bind a start time.
     fn prune(&mut self) {
         let mut horizon = self.lanes.iter().copied().min().unwrap_or(0);
         if self.window.len() >= self.depth {
@@ -665,7 +695,6 @@ impl IssueQueue {
         }
         self.scoreboard.prune_completed(horizon);
         if let Some(ooo) = &mut self.ooo {
-            ooo.last_write.retain(|_, &mut finish| finish > horizon);
             ooo.prune();
         }
     }

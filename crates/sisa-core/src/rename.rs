@@ -20,10 +20,22 @@
 //! pressure), never as a dependence stall. A pool too small to hold the
 //! program's live versions grows on demand (an architectural spill, counted
 //! in [`RenameMap::spills`]) rather than deadlocking the analytic pipeline.
+//!
+//! # Storage
+//!
+//! Logical IDs are dense slot indices, so the logical → physical binding is
+//! a flat vector indexed by raw logical ID (an unbound ID holds a sentinel)
+//! with a counter of bound IDs. Its length is one past the largest logical
+//! ID written or read since the last [`RenameMap::clear`], which the runtime
+//! bounds by its peak number of live sets. Physical tags never exceed the
+//! pool capacity plus spills plus lazy binds.
 
 use sisa_isa::SetId;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
+
+/// Binding of a logical ID that currently has no physical tag.
+const UNBOUND: u32 = u32::MAX;
 
 /// The outcome of allocating a fresh physical tag for one logical write.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,8 +55,11 @@ pub struct TagAlloc {
 /// Maps logical set IDs to physical tags, a fresh tag per write.
 #[derive(Clone, Debug, Default)]
 pub struct RenameMap {
-    /// Current logical → physical binding.
-    current: BTreeMap<u32, u32>,
+    /// Current logical → physical binding, indexed by raw logical ID
+    /// ([`UNBOUND`] where there is none).
+    current: Vec<u32>,
+    /// Number of logical IDs in `current` holding a tag.
+    bound: usize,
     /// Tags returned to the pool and immediately reusable.
     free: Vec<u32>,
     /// Tags whose storage is still draining: usable from the recorded cycle.
@@ -92,7 +107,30 @@ impl RenameMap {
     /// Number of logical IDs currently bound to a tag.
     #[must_use]
     pub fn bound(&self) -> usize {
+        self.bound
+    }
+
+    /// Length of the logical-ID-indexed binding table: one past the largest
+    /// logical ID seen since the last [`RenameMap::clear`] (the
+    /// boundedness tests check it).
+    #[cfg(test)]
+    pub(crate) fn footprint(&self) -> usize {
         self.current.len()
+    }
+
+    /// Binds `tag` to `logical`, returning the previous binding.
+    fn bind(&mut self, logical: SetId, tag: u32) -> Option<SetId> {
+        let raw = logical.raw() as usize;
+        if raw >= self.current.len() {
+            self.current.resize(raw + 1, UNBOUND);
+        }
+        let old = std::mem::replace(&mut self.current[raw], tag);
+        if old == UNBOUND {
+            self.bound += 1;
+            None
+        } else {
+            Some(SetId(old))
+        }
     }
 
     /// Tags allocatable right now without waiting: the freed tags plus the
@@ -113,15 +151,16 @@ impl RenameMap {
     /// slot before the measured region, so it neither waits nor counts as an
     /// allocation or a spill.
     pub fn read_tag(&mut self, logical: SetId) -> SetId {
-        if let Some(&tag) = self.current.get(&logical.raw()) {
-            return SetId(tag);
+        match self.current.get(logical.raw() as usize) {
+            Some(&tag) if tag != UNBOUND => return SetId(tag),
+            _ => {}
         }
         let tag = self.free.pop().unwrap_or_else(|| {
             let fresh = self.next_tag;
             self.next_tag += 1;
             fresh
         });
-        self.current.insert(logical.raw(), tag);
+        self.bind(logical, tag);
         SetId(tag)
     }
 
@@ -130,7 +169,7 @@ impl RenameMap {
     pub fn write_tag(&mut self, logical: SetId) -> TagAlloc {
         let (tag, available_at) = self.take_tag();
         self.allocations += 1;
-        let superseded = self.current.insert(logical.raw(), tag).map(SetId);
+        let superseded = self.bind(logical, tag);
         TagAlloc {
             tag: SetId(tag),
             available_at,
@@ -141,7 +180,13 @@ impl RenameMap {
     /// Unbinds `logical` (a `sisa.del`), returning the tag whose storage the
     /// caller must price for reclaim.
     pub fn release(&mut self, logical: SetId) -> Option<SetId> {
-        self.current.remove(&logical.raw()).map(SetId)
+        let slot = self.current.get_mut(logical.raw() as usize)?;
+        let tag = std::mem::replace(slot, UNBOUND);
+        if tag == UNBOUND {
+            return None;
+        }
+        self.bound -= 1;
+        Some(SetId(tag))
     }
 
     /// Hands a superseded/deleted tag back to the pool, usable once its
@@ -179,6 +224,7 @@ impl RenameMap {
     /// Forgets all bindings and pool state (the timeline restarted).
     pub fn clear(&mut self) {
         self.current.clear();
+        self.bound = 0;
         self.free.clear();
         self.pending.clear();
         self.next_tag = 0;

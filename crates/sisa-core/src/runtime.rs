@@ -112,7 +112,7 @@ impl SisaRuntime {
         &self.config
     }
 
-    /// The SCU (exposed for harnesses that want its hit ratios and models).
+    /// The SCU (exposed for harnesses that want its cost models).
     #[must_use]
     pub fn scu(&self) -> &Scu {
         &self.scu
@@ -1225,5 +1225,63 @@ mod tests {
         let trace = rt.take_trace().unwrap();
         let program_total: u64 = trace.program().opcode_histogram().values().sum::<usize>() as u64;
         assert_eq!(rt.stats().total_instructions(), program_total);
+    }
+
+    /// Runs `cycles` create/intersect/delete rounds whose temporaries pile
+    /// up to a varying depth, with periodic statistics resets (which make
+    /// the rename table lazily rebind pre-existing sets).
+    fn churn(config: SisaConfig, cycles: u32) -> SisaRuntime {
+        let mut rt = SisaRuntime::new(config);
+        rt.set_universe(256);
+        let a = rt.create_sorted(0..64);
+        let b = rt.create_dense((0..256).step_by(3));
+        let mut temps = Vec::new();
+        for i in 0..cycles {
+            let t = rt.create_sorted([i % 256, (i * 7 + 1) % 256]);
+            let u = rt.intersect(t, a);
+            rt.intersect_count(u, b);
+            rt.delete(t);
+            temps.push(u);
+            if temps.len() > (i % 9) as usize {
+                for id in temps.drain(..) {
+                    rt.delete(id);
+                }
+            }
+            if i % 25_000 == 0 {
+                rt.reset_stats();
+            }
+        }
+        rt
+    }
+
+    /// Regression for unbounded growth of the ID-indexed pricing tables:
+    /// their length must follow the peak number of live sets (plus the tag
+    /// pool and its spills under renaming), not the number of operations.
+    fn assert_tables_bounded(config: SisaConfig) {
+        let rt = churn(config, 100_000);
+        // Slots are never shrunk, so the slot table's length is the peak.
+        let peak_live = rt.sets.len();
+        assert!(
+            peak_live <= 12,
+            "churn keeps few sets live, got {peak_live}"
+        );
+        assert!(rt.metadata.footprint() <= peak_live);
+        assert!(rt.scu.smb().footprint() <= peak_live);
+        let tags = config.rename_tags + rt.pipeline.rename_spills() as usize;
+        assert!(
+            rt.pipeline.footprint() <= peak_live + tags,
+            "issue-queue tables grew to {} (peak live {peak_live}, tags {tags})",
+            rt.pipeline.footprint()
+        );
+    }
+
+    #[test]
+    fn pricing_tables_stay_bounded_under_churn() {
+        assert_tables_bounded(SisaConfig::default());
+    }
+
+    #[test]
+    fn renamed_pricing_tables_stay_bounded_under_churn() {
+        assert_tables_bounded(SisaConfig::renamed(16));
     }
 }

@@ -32,25 +32,57 @@
 //!
 //! Entries whose recorded times can no longer influence any future schedule
 //! are pruned by [`Scoreboard::prune_completed`], so a scoreboard driven
-//! across a long program stays bounded by the *in-flight* operand footprint
-//! instead of growing with every set ID the program ever touched.
+//! across a long program tracks only the *in-flight* operand footprint
+//! instead of every set ID the program ever touched.
+//!
+//! # Storage
+//!
+//! Operand IDs are dense: logical IDs are slot indices from the runtime's
+//! LIFO allocator and physical tags come from the bounded rename pool. The
+//! scoreboard therefore stores its times in a flat vector indexed by raw ID,
+//! with a list of the IDs that currently carry state. A lookup is one index,
+//! a release is a swap-remove from the live list, and pruning walks only the
+//! live entries. The vector is as long as the largest ID ever recorded, so
+//! its memory is bounded by the peak number of live sets (logical IDs) or by
+//! the tag pool plus its spills (physical tags) — callers must not feed it
+//! sparse or unbounded IDs.
 
 use sisa_isa::SetId;
-use std::collections::BTreeMap;
 
-/// Completion times recorded for one set ID.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Position marker of an ID that carries no hazard state.
+const UNTRACKED: u32 = u32::MAX;
+
+/// Completion times recorded for one set ID, plus its place in the live list.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct SetTimes {
     /// Cycle at which the last write to the set completes.
     write_done: u64,
     /// Latest cycle at which any read of the set completes.
     reads_done: u64,
+    /// Index of this ID in [`Scoreboard::live`], or [`UNTRACKED`].
+    live_at: u32,
+}
+
+impl Default for SetTimes {
+    fn default() -> Self {
+        Self {
+            write_done: 0,
+            reads_done: 0,
+            live_at: UNTRACKED,
+        }
+    }
 }
 
 /// Tracks RAW/WAW/WAR hazards on operand sets for the issue queue.
+///
+/// Operand IDs must be dense slot indices or rename tags: storage grows to
+/// the largest ID recorded (see the [module docs](self)).
 #[derive(Clone, Debug, Default)]
 pub struct Scoreboard {
-    times: BTreeMap<u32, SetTimes>,
+    /// Times per raw ID; untracked IDs hold all-zero times.
+    times: Vec<SetTimes>,
+    /// The IDs currently carrying hazard state, in no particular order.
+    live: Vec<u32>,
 }
 
 impl Scoreboard {
@@ -61,7 +93,34 @@ impl Scoreboard {
     }
 
     fn entry(&self, id: SetId) -> SetTimes {
-        self.times.get(&id.raw()).copied().unwrap_or_default()
+        self.times
+            .get(id.raw() as usize)
+            .copied()
+            .unwrap_or_default()
+    }
+
+    /// The entry of `id`, tracking it first if it carries no state yet.
+    fn entry_mut(&mut self, id: SetId) -> &mut SetTimes {
+        let raw = id.raw() as usize;
+        if raw >= self.times.len() {
+            self.times.resize(raw + 1, SetTimes::default());
+        }
+        let t = &mut self.times[raw];
+        if t.live_at == UNTRACKED {
+            t.live_at = self.live.len() as u32;
+            self.live.push(id.raw());
+        }
+        t
+    }
+
+    /// Drops the entry at position `at` of the live list, resetting its
+    /// times so the ID reads as untracked again.
+    fn untrack_at(&mut self, at: usize) {
+        let raw = self.live.swap_remove(at);
+        self.times[raw as usize] = SetTimes::default();
+        if let Some(&moved) = self.live.get(at) {
+            self.times[moved as usize].live_at = at as u32;
+        }
     }
 
     /// The earliest cycle at which an instruction reading `reads` and writing
@@ -98,11 +157,11 @@ impl Scoreboard {
     /// Publishes an issued instruction's completion time against its operands.
     pub fn record(&mut self, reads: &[SetId], writes: &[SetId], finish: u64) {
         for &r in reads {
-            let t = self.times.entry(r.raw()).or_default();
+            let t = self.entry_mut(r);
             t.reads_done = t.reads_done.max(finish);
         }
         for &w in writes {
-            let t = self.times.entry(w.raw()).or_default();
+            let t = self.entry_mut(w);
             t.write_done = t.write_done.max(finish);
         }
     }
@@ -121,7 +180,11 @@ impl Scoreboard {
     /// binding of the tag starts with a clean slate instead of inheriting its
     /// predecessor's times).
     pub fn release(&mut self, id: SetId) {
-        self.times.remove(&id.raw());
+        if let Some(&t) = self.times.get(id.raw() as usize) {
+            if t.live_at != UNTRACKED {
+                self.untrack_at(t.live_at as usize);
+            }
+        }
     }
 
     /// Prunes every entry whose recorded times have fully retired: once the
@@ -131,20 +194,36 @@ impl Scoreboard {
     /// structural/resource floor), so dropping it changes no schedule.
     /// Returns the number of entries dropped.
     pub fn prune_completed(&mut self, horizon: u64) -> usize {
-        let before = self.times.len();
-        self.times
-            .retain(|_, t| t.write_done > horizon || t.reads_done > horizon);
-        before - self.times.len()
+        let before = self.live.len();
+        let mut at = 0;
+        while at < self.live.len() {
+            let t = self.times[self.live[at] as usize];
+            if t.write_done > horizon || t.reads_done > horizon {
+                at += 1;
+            } else {
+                // The swapped-in last entry is examined next, at the same spot.
+                self.untrack_at(at);
+            }
+        }
+        before - self.live.len()
     }
 
     /// Forgets every recorded time (the timeline restarts at cycle 0).
     pub fn clear(&mut self) {
         self.times.clear();
+        self.live.clear();
     }
 
     /// Number of set IDs with recorded hazard state (capacity telemetry).
     #[must_use]
     pub fn tracked(&self) -> usize {
+        self.live.len()
+    }
+
+    /// Length of the ID-indexed storage: one past the largest ID recorded
+    /// since the last [`Scoreboard::clear`] (the boundedness tests check it).
+    #[cfg(test)]
+    pub(crate) fn footprint(&self) -> usize {
         self.times.len()
     }
 }

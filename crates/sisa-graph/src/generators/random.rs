@@ -106,7 +106,9 @@ pub fn barabasi_albert(n: usize, m_attach: usize, seed: u64) -> CsrGraph {
         }
     }
     for v in seed_size..n {
-        let mut targets = std::collections::HashSet::new();
+        // Ordered, so the endpoints list (and every later draw) does not
+        // depend on hash iteration order.
+        let mut targets = std::collections::BTreeSet::new();
         let mut guard = 0;
         while targets.len() < m_attach.min(v) && guard < 100 * m_attach {
             guard += 1;
@@ -294,6 +296,11 @@ mod tests {
         let stats = DegreeStats::compute(&g);
         // Preferential attachment: hubs far above the mean.
         assert!(stats.skew > 5.0, "skew {}", stats.skew);
+    }
+
+    #[test]
+    fn barabasi_albert_is_deterministic_per_seed() {
+        assert_eq!(barabasi_albert(500, 4, 11), barabasi_albert(500, 4, 11));
     }
 
     #[test]
